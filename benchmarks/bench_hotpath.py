@@ -5,7 +5,8 @@ references — batched tree/forest prediction vs. per-row walks, in-place
 permutation importance vs. the full-matrix-copy variant, compiled
 runtime probes vs. per-event string parsing, and a warm package-cache
 ``SnipScheme.prepare`` vs. a cold profile — checks the equivalence and
-speedup gates, and writes ``BENCH_hotpath.json`` at the repo root.
+speedup gates (rows ``hotpath`` in ``gates.py``), and writes
+``BENCH_hotpath.json`` at the repo root.
 
 Run directly (CI's perf-smoke job uses ``--quick``)::
 
@@ -14,14 +15,11 @@ Run directly (CI's perf-smoke job uses ``--quick``)::
 
 from __future__ import annotations
 
-import argparse
-import json
 import pickle
 import shutil
 import sys
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -40,8 +38,7 @@ from repro.schemes.snip_scheme import SnipScheme
 from repro.soc.soc import snapdragon_821
 from repro.users.tracegen import generate_events
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO_ROOT / "BENCH_hotpath.json"
+from gates import finish, parser
 
 
 def _time(fn, repeats: int) -> float:
@@ -282,59 +279,18 @@ def bench_package_cache(quick: bool) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smaller inputs and relaxed gates (CI smoke mode)",
-    )
-    args = parser.parse_args(argv)
-    quick = args.quick
+    quick = parser(__doc__).parse_args(argv).quick
     repeats = 3 if quick else 5
-
-    # Quick mode checks only that the fast paths *win*; the full run
-    # enforces the headline speedup floors from the issue.
-    gates = {
-        "forest_predict": 1.5 if quick else 5.0,
-        "pfi": 1.5 if quick else 3.0,
-        # The session/probe references share the process-wide fold and
-        # event memos with the batched path, so these floors gate the
-        # *residual* columnar win (trace assembly, batched dispatch,
-        # grouped lookups, columnar ledger); the end-to-end ≥5x gate
-        # against the recorded scalar floor lives in bench_fleet_scaling.
-        "runtime_probe": 1.3 if quick else 1.6,
-        "session_batch": 1.2 if quick else 1.4,
-        "package_cache": 3.0 if quick else 10.0,
+    runs = {
+        "tree_predict": bench_tree_predict(quick, repeats),
+        "forest_predict": bench_forest_predict(quick, repeats),
+        "pfi": bench_pfi(quick, repeats),
+        "runtime_probe": bench_runtime_probe(quick, repeats),
+        "session_batch": bench_session_batch(quick, repeats),
+        "package_cache": bench_package_cache(quick),
     }
-
-    results = {"quick": quick, "benchmarks": {}, "gates": {}}
-    sections = [
-        ("tree_predict", lambda: bench_tree_predict(quick, repeats)),
-        ("forest_predict", lambda: bench_forest_predict(quick, repeats)),
-        ("pfi", lambda: bench_pfi(quick, repeats)),
-        ("runtime_probe", lambda: bench_runtime_probe(quick, repeats)),
-        ("session_batch", lambda: bench_session_batch(quick, repeats)),
-        ("package_cache", lambda: bench_package_cache(quick)),
-    ]
-    for name, runner in sections:
-        outcome = runner()
-        results["benchmarks"][name] = outcome
-        print(f"{name:16s} speedup {outcome['speedup']:6.1f}x", flush=True)
-
-    failed = []
-    for name, floor in gates.items():
-        speedup = results["benchmarks"][name]["speedup"]
-        ok = speedup >= floor
-        results["gates"][name] = {"floor": floor, "speedup": speedup, "ok": ok}
-        if not ok:
-            failed.append(f"{name}: {speedup:.1f}x < {floor:.1f}x")
-
-    REPORT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {REPORT_PATH}")
-    if failed:
-        print("FAILED gates: " + "; ".join(failed), file=sys.stderr)
-        return 1
-    print("all gates passed")
-    return 0
+    metrics = {name: outcome["speedup"] for name, outcome in runs.items()}
+    return finish("hotpath", metrics, quick, runs)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Times the registry's three hot operations — publishing a candidate,
 running the promotion pass over a populated slot, and resolving the
 champion package — on a slot pre-loaded with versions, checks the
-throughput gates, and writes ``BENCH_registry.json`` at the repo root.
+throughput gates (rows ``registry`` in ``gates.py``), and writes
+``BENCH_registry.json`` at the repo root.
 
 The registry sits on a fleet's control path (every staged rollout loads
 state, judges, and re-saves), so these floors guard against the state
@@ -17,21 +18,17 @@ Run directly (CI's perf-smoke job uses ``--quick``)::
 
 from __future__ import annotations
 
-import argparse
-import json
 import shutil
 import sys
 import tempfile
 import time
-from pathlib import Path
 
 from repro.core.config import SnipConfig
 from repro.core.profiler import CloudProfiler
 from repro.registry import PackageRegistry, PromotionPolicy
 from repro.registry.records import PackageMetrics
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO_ROOT / "BENCH_registry.json"
+from gates import finish, parser
 
 GAME = "candy_crush"
 
@@ -99,43 +96,8 @@ def bench_registry(quick: bool) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smaller slot and relaxed gates (CI smoke mode)",
-    )
-    args = parser.parse_args(argv)
-    quick = args.quick
-
-    # Floors sit far under measured throughput (hundreds to thousands
-    # of ops/s on an idle machine) so only a real regression — e.g.
-    # state handling going quadratic — trips them on shared CI runners.
-    gates = {
-        "publish_ops_s": 5.0 if quick else 10.0,
-        "promote_ops_s": 10.0 if quick else 20.0,
-        "lookup_ops_s": 5.0 if quick else 10.0,
-    }
-
-    outcome = bench_registry(quick)
-    results = {"quick": quick, "benchmarks": {"registry": outcome}, "gates": {}}
-    for name in ("publish_ops_s", "promote_ops_s", "lookup_ops_s"):
-        print(f"{name:16s} {outcome[name]:8.1f} ops/s", flush=True)
-
-    failed = []
-    for name, floor in gates.items():
-        measured = outcome[name]
-        ok = measured >= floor
-        results["gates"][name] = {"floor": floor, "measured": measured, "ok": ok}
-        if not ok:
-            failed.append(f"{name}: {measured:.1f} < {floor:.1f} ops/s")
-
-    REPORT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {REPORT_PATH}")
-    if failed:
-        print("FAILED gates: " + "; ".join(failed), file=sys.stderr)
-        return 1
-    print("all gates passed")
-    return 0
+    quick = parser(__doc__).parse_args(argv).quick
+    return finish("registry", bench_registry(quick), quick)
 
 
 if __name__ == "__main__":

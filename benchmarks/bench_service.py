@@ -3,10 +3,10 @@
 Times the supervisor's two operating regimes on a small fleet — cold
 cycles (fresh profiles, real fleet work) and a full replay of the same
 run directory (every stage served from the ledger) — checks the
-latency/throughput gates, verifies the crash-resume contract end to
-end (kill mid-run, resume, compare ledger bytes against the
-uninterrupted run), and writes ``BENCH_service.json`` at the repo
-root.
+latency/throughput gates (rows ``service`` in ``gates.py``), verifies
+the crash-resume contract end to end (kill mid-run, resume, compare
+ledger bytes against the uninterrupted run), and writes
+``BENCH_service.json`` at the repo root.
 
 The daemon is the production control loop: a cycle's wall time bounds
 how fast the fleet's miss reports turn into refreshed tables, and
@@ -21,8 +21,6 @@ Run directly (CI's perf-smoke job uses ``--quick``)::
 
 from __future__ import annotations
 
-import argparse
-import json
 import shutil
 import sys
 import tempfile
@@ -31,8 +29,7 @@ from pathlib import Path
 
 from repro.service import ServiceConfig, SnipService
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPORT_PATH = REPO_ROOT / "BENCH_service.json"
+from gates import finish, parser
 
 GAME = "colorphun"
 
@@ -109,52 +106,8 @@ def bench_service(quick: bool) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smaller fleet and relaxed gates (CI smoke mode)",
-    )
-    args = parser.parse_args(argv)
-    quick = args.quick
-
-    # Floors sit far under measured rates (cold cycles land in the
-    # hundreds of milliseconds, replays in the low milliseconds on an
-    # idle machine) so only a real regression — a stage re-executing
-    # on replay, ledger persistence going quadratic — trips them on
-    # shared CI runners.
-    gates = {
-        "cycles_per_s": 0.2 if quick else 0.1,
-        "replay_runs_s": 5.0 if quick else 5.0,
-    }
-
-    outcome = bench_service(quick)
-    results = {"quick": quick, "benchmarks": {"service": outcome}, "gates": {}}
-    print(f"cycle_s          {outcome['cycle_s']:8.3f} s/cycle", flush=True)
-    print(f"replay_run_s     {outcome['replay_run_s']:8.4f} s/run", flush=True)
-    print(f"resume_identical {outcome['resume_identical']}", flush=True)
-
-    failed = []
-    for name, floor in gates.items():
-        measured = outcome[name]
-        ok = measured >= floor
-        results["gates"][name] = {"floor": floor, "measured": measured, "ok": ok}
-        if not ok:
-            failed.append(f"{name}: {measured:.2f} < {floor:.2f} /s")
-    results["gates"]["resume_identical"] = {
-        "floor": True,
-        "measured": outcome["resume_identical"],
-        "ok": outcome["resume_identical"],
-    }
-    if not outcome["resume_identical"]:
-        failed.append("resume_identical: resumed ledger bytes diverged")
-
-    REPORT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {REPORT_PATH}")
-    if failed:
-        print("FAILED gates: " + "; ".join(failed), file=sys.stderr)
-        return 1
-    print("all gates passed")
-    return 0
+    quick = parser(__doc__).parse_args(argv).quick
+    return finish("service", bench_service(quick), quick)
 
 
 if __name__ == "__main__":
