@@ -14,12 +14,30 @@ import pytest
 from repro.android.emulator import Emulator
 from repro.core.config import SnipConfig
 from repro.core.profiler import CloudProfiler
+from repro.core.selection import trimming_curve
 from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.users.sessions import run_baseline_session
 from repro.users.tracegen import generate_trace
 
 #: Short but non-trivial session length for shared fixtures.
 FIXTURE_DURATION_S = 30.0
+
+
+def play_events(soc, events, deliver, until=None):
+    """Drive a session loop in SoC time.
+
+    Advances ``soc``'s clock to each event's timestamp, hands the event
+    to ``deliver`` (a runtime's, runner's or event loop's ``deliver``),
+    and finally idles the SoC to ``until`` seconds when it is given.
+    """
+    clock = 0.0
+    for event in events:
+        if event.timestamp > clock:
+            soc.advance_time(event.timestamp - clock)
+            clock = event.timestamp
+        deliver(event)
+    if until is not None:
+        soc.advance_time(max(0.0, until - clock))
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -73,6 +91,12 @@ def ab_package(snip_config):
 def ab_analysis(ab_package):
     """The PFI analysis behind the AB package."""
     return ab_package.analysis
+
+
+@pytest.fixture(scope="session")
+def ab_trimming_curve(ab_analysis):
+    """The field-trimming curve over the AB analysis (Fig. 9's sweep)."""
+    return trimming_curve(ab_analysis)
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.ml.forest import RandomForestClassifier
 from repro.soc.soc import snapdragon_821
 from repro.users.tracegen import generate_events
+from tests.conftest import play_events
 
 
 def _entry(weight):
@@ -43,12 +44,7 @@ class TestEviction:
         soc = snapdragon_821()
         game = create_game("ab_evolution", seed=GAME_CONTENT_SEED)
         runtime = SnipRuntime(soc, game, SnipTable(ab_package.selection), config)
-        clock = 0.0
-        for event in generate_events("ab_evolution", 11, 20.0):
-            if event.timestamp > clock:
-                soc.advance_time(event.timestamp - clock)
-                clock = event.timestamp
-            runtime.deliver(event)
+        play_events(soc, generate_events("ab_evolution", 11, 20.0), runtime.deliver)
         assert runtime.table.entry_count <= 10
         assert runtime.stats.evictions > 0
         assert runtime.stats.online_promotions > runtime.stats.evictions
@@ -58,12 +54,7 @@ class TestEviction:
         soc = snapdragon_821()
         game = create_game("ab_evolution", seed=GAME_CONTENT_SEED)
         runtime = SnipRuntime(soc, game, SnipTable(ab_package.selection), config)
-        clock = 0.0
-        for event in generate_events("ab_evolution", 11, 10.0):
-            if event.timestamp > clock:
-                soc.advance_time(event.timestamp - clock)
-                clock = event.timestamp
-            runtime.deliver(event)
+        play_events(soc, generate_events("ab_evolution", 11, 10.0), runtime.deliver)
         assert runtime.stats.evictions == 0
 
     def test_negative_capacity_rejected(self):

@@ -16,6 +16,7 @@ from repro.core.serialization import table_to_dict
 from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.soc.soc import snapdragon_821
 from repro.users.tracegen import generate_events
+from tests.conftest import play_events
 
 GAME = "ab_evolution"
 EVAL_SEED = 9
@@ -29,13 +30,8 @@ def _run_session(package, config, use_reference_probes=False):
     runtime = SnipRuntime(soc, game, package.table.clone(), config)
     if use_reference_probes:
         runtime.live_key = runtime.live_key_reference
-    clock = 0.0
-    for event in generate_events(GAME, seed=EVAL_SEED, duration_s=EVAL_DURATION_S):
-        if event.timestamp > clock:
-            soc.advance_time(event.timestamp - clock)
-            clock = event.timestamp
-        runtime.deliver(event)
-    soc.advance_time(max(0.0, EVAL_DURATION_S - clock))
+    events = generate_events(GAME, seed=EVAL_SEED, duration_s=EVAL_DURATION_S)
+    play_events(soc, events, runtime.deliver, until=EVAL_DURATION_S)
     return runtime.stats, soc.meter.total_joules
 
 
@@ -44,19 +40,18 @@ class TestCompiledProbeEquivalence:
         soc = snapdragon_821()
         game = create_game(GAME, seed=GAME_CONTENT_SEED)
         runtime = SnipRuntime(soc, game, ab_package.table.clone(), snip_config)
-        clock = 0.0
-        checked = 0
-        for event in generate_events(GAME, seed=EVAL_SEED,
-                                     duration_s=EVAL_DURATION_S):
-            if event.timestamp > clock:
-                soc.advance_time(event.timestamp - clock)
-                clock = event.timestamp
+        checked = []
+
+        def probe_then_deliver(event):
             # Probe both ways against the *same* live state, before the
             # delivery below mutates it.
             assert runtime.live_key(event) == runtime.live_key_reference(event)
-            checked += 1
+            checked.append(event)
             runtime.deliver(event)
-        assert checked > 100
+
+        events = generate_events(GAME, seed=EVAL_SEED, duration_s=EVAL_DURATION_S)
+        play_events(soc, events, probe_then_deliver)
+        assert len(checked) > 100
 
     def test_unknown_event_types_yield_empty_key(self, ab_package, snip_config):
         runtime = SnipRuntime(

@@ -9,7 +9,6 @@ from repro.core.selection import (
     gated_table_stats,
     select_necessary_inputs,
     table_error,
-    trimming_curve,
 )
 from repro.errors import ProfilerError
 from repro.games.base import InputCategory
@@ -93,23 +92,21 @@ class TestGatedStats:
         assert 0.0 <= stats.coverage <= 1.0
         assert 0.0 <= stats.error <= 1.0
 
-    def test_gate_kills_fragmenting_keys(self, ab_analysis, snip_config):
-        profile = ab_analysis.profiles[EventType.FRAME_TICK]
+    def test_gate_kills_fragmenting_keys(self, ab_package, snip_config):
+        profile = ab_package.analysis.profiles[EventType.FRAME_TICK]
         score = [info for info in profile.universe if info.name == "hist:score"]
         with_score = gated_table_stats(profile, profile.universe, snip_config)
         # Keying on everything (incl. per-session-unique combos) can
         # never beat the curated selection.
-        selection = select_necessary_inputs(ab_analysis, snip_config)
-        selected = selection.fields_for(EventType.FRAME_TICK)
+        selected = ab_package.selection.fields_for(EventType.FRAME_TICK)
         curated = gated_table_stats(profile, selected, snip_config)
         assert curated.coverage >= with_score.coverage - 1e-9
         assert score  # the fragmenting field exists in the universe
 
-    def test_error_stays_below_consistency_slack(self, ab_analysis, snip_config):
-        selection = select_necessary_inputs(ab_analysis, snip_config)
-        for event_type, profile in ab_analysis.profiles.items():
+    def test_error_stays_below_consistency_slack(self, ab_package, snip_config):
+        for event_type, profile in ab_package.analysis.profiles.items():
             stats = gated_table_stats(
-                profile, selection.fields_for(event_type), snip_config
+                profile, ab_package.selection.fields_for(event_type), snip_config
             )
             # The consistency gate bounds in-profile error.
             assert stats.error <= (1 - snip_config.table_consistency) + 0.01
@@ -150,28 +147,24 @@ class TestSelection:
 
 
 class TestTrimmingCurve:
-    def test_starts_accurate_ends_inaccurate(self, ab_analysis):
-        points = trimming_curve(ab_analysis)
-        assert points[0].error == pytest.approx(0.0, abs=1e-9)
-        assert points[-1].error > points[0].error
+    def test_starts_accurate_ends_inaccurate(self, ab_trimming_curve):
+        assert ab_trimming_curve[0].error == pytest.approx(0.0, abs=1e-9)
+        assert ab_trimming_curve[-1].error > ab_trimming_curve[0].error
 
-    def test_bytes_monotone_decreasing(self, ab_analysis):
-        points = trimming_curve(ab_analysis)
-        sizes = [point.bytes_kept for point in points]
+    def test_bytes_monotone_decreasing(self, ab_trimming_curve):
+        sizes = [point.bytes_kept for point in ab_trimming_curve]
         assert sizes == sorted(sizes, reverse=True)
 
-    def test_one_point_per_removable_field(self, ab_analysis):
-        points = trimming_curve(ab_analysis)
+    def test_one_point_per_removable_field(self, ab_analysis, ab_trimming_curve):
         removable = sum(
             len(profile.universe) for profile in ab_analysis.profiles.values()
         )
-        assert len(points) == removable + 1
+        assert len(ab_trimming_curve) == removable + 1
 
-    def test_removal_metadata_populated(self, ab_analysis):
-        points = trimming_curve(ab_analysis)
-        assert points[0].removed_field is None
-        assert all(point.removed_field for point in points[1:])
+    def test_removal_metadata_populated(self, ab_trimming_curve):
+        first, *rest = ab_trimming_curve
+        assert first.removed_field is None
+        assert all(point.removed_field for point in rest)
         assert all(
-            isinstance(point.removed_category, InputCategory)
-            for point in points[1:]
+            isinstance(point.removed_category, InputCategory) for point in rest
         )

@@ -17,6 +17,7 @@ from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.soc.soc import snapdragon_821
 from repro.users.population import Population
 from repro.users.tracegen import generate_events
+from tests.conftest import play_events
 
 
 def _runtime(table, config=None):
@@ -26,13 +27,8 @@ def _runtime(table, config=None):
 
 
 def _drive(controller, seed=7, duration=15.0):
-    soc = controller.runtime.soc
-    clock = 0.0
-    for event in generate_events("ab_evolution", seed, duration):
-        if event.timestamp > clock:
-            soc.advance_time(event.timestamp - clock)
-            clock = event.timestamp
-        controller.deliver(event)
+    events = generate_events("ab_evolution", seed, duration)
+    play_events(controller.runtime.soc, events, controller.deliver)
 
 
 class TestQualityController:
@@ -91,12 +87,8 @@ class TestQualityController:
     def test_disabled_runtime_takes_baseline_path(self, ab_package):
         runtime = _runtime(ab_package.table.clone())
         runtime.enabled = False
-        clock = 0.0
-        for event in generate_events("ab_evolution", 7, 5.0):
-            if event.timestamp > clock:
-                runtime.soc.advance_time(event.timestamp - clock)
-                clock = event.timestamp
-            runtime.deliver(event)
+        events = generate_events("ab_evolution", 7, 5.0)
+        play_events(runtime.soc, events, runtime.deliver)
         assert runtime.stats.hits == 0
         assert runtime.soc.meter.tag_joules("lookup") == 0.0
 
@@ -123,6 +115,11 @@ class TestFederated:
         }
         return per_device
 
+    @pytest.fixture(scope="class")
+    def federated(self, ab_package, fleet):
+        """``(table, uplink_bytes)`` folded once from ``fleet``."""
+        return federate("ab_evolution", fleet, ab_package.selection, SnipConfig())
+
     def test_contribution_carries_statistics(self, ab_package, fleet):
         contribution = build_device_contribution(
             0, "ab_evolution", fleet[0], ab_package.selection
@@ -135,26 +132,19 @@ class TestFederated:
         with pytest.raises(ProfilerError):
             build_device_contribution(0, "ab_evolution", [], ab_package.selection)
 
-    def test_federate_builds_working_table(self, ab_package, fleet):
-        table, uplink = federate(
-            "ab_evolution", fleet, ab_package.selection, SnipConfig()
-        )
+    def test_federate_builds_working_table(self, federated):
+        table, uplink = federated
         assert table.entry_count > 0
         assert uplink > 0
-        # The fleet table must serve a fresh user.
-        runtime = _runtime(table, SnipConfig())
-        clock = 0.0
-        for event in generate_events("ab_evolution", 99, 15.0):
-            if event.timestamp > clock:
-                runtime.soc.advance_time(event.timestamp - clock)
-                clock = event.timestamp
-            runtime.deliver(event)
+        # The fleet table must serve a fresh user (on a copy: online
+        # learning mutates the table, and the fixture is shared).
+        runtime = _runtime(table.clone(), SnipConfig())
+        events = generate_events("ab_evolution", 99, 15.0)
+        play_events(runtime.soc, events, runtime.deliver)
         assert runtime.stats.hit_rate > 0.3
 
-    def test_uplink_is_kilobytes_not_gigabytes(self, ab_package, fleet):
-        _, uplink = federate(
-            "ab_evolution", fleet, ab_package.selection, SnipConfig()
-        )
+    def test_uplink_is_kilobytes_not_gigabytes(self, ab_package, federated):
+        _, uplink = federated
         # The federated upload is per-key statistics: kilobytes, versus
         # the multi-gigabyte naive record store the central profiler
         # would otherwise have to materialise (and zero raw events).

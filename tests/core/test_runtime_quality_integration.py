@@ -8,6 +8,7 @@ from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.soc.soc import snapdragon_821
 from repro.users.sessions import run_baseline_session
 from repro.users.tracegen import generate_events
+from tests.conftest import play_events
 
 GAME = "candy_crush"
 DURATION = 20.0
@@ -29,13 +30,8 @@ class TestSupervisedSession:
         controller = QualityController(
             runtime, audit_rate=0.1, clear_threshold=0.3
         )
-        clock = 0.0
-        for event in generate_events(GAME, 9, DURATION):
-            if event.timestamp > clock:
-                soc.advance_time(event.timestamp - clock)
-                clock = event.timestamp
-            controller.deliver(event)
-        soc.advance_time(max(0.0, DURATION - clock))
+        events = generate_events(GAME, 9, DURATION)
+        play_events(soc, events, controller.deliver, until=DURATION)
         return controller
 
     def test_supervision_leaves_savings_intact(self, supervised):

@@ -13,6 +13,7 @@ from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.soc.energy import TAG_LOOKUP
 from repro.soc.soc import snapdragon_821
 from repro.users.tracegen import generate_events, generate_trace
+from tests.conftest import play_events
 
 
 class TestSnipTable:
@@ -53,12 +54,8 @@ class TestSnipRuntime:
         return SnipRuntime(soc, game, ab_package.table, snip_config)
 
     def _run(self, runtime, seed=7, duration=20.0):
-        clock = 0.0
-        for event in generate_events("ab_evolution", seed, duration):
-            if event.timestamp > clock:
-                runtime.soc.advance_time(event.timestamp - clock)
-                clock = event.timestamp
-            runtime.deliver(event)
+        events = generate_events("ab_evolution", seed, duration)
+        play_events(runtime.soc, events, runtime.deliver)
 
     def test_short_circuits_most_events(self, runtime):
         self._run(runtime)
@@ -109,20 +106,20 @@ class TestSnipRuntime:
         assert runtime.stats.hits == 0
 
     def test_would_be_correct_on_live_state(self, runtime):
-        events = generate_events("ab_evolution", 7, 10.0)
-        clock = 0.0
-        checked = 0
-        for event in events:
-            if event.timestamp > clock:
-                runtime.soc.advance_time(event.timestamp - clock)
-                clock = event.timestamp
+        verdicts = []
+
+        def judge_then_process(event):
             runtime.game.advance_engine(event)
             verdict = runtime.would_be_correct(event)
             if verdict is not None:
-                checked += 1
-                assert verdict in (True, False)
+                verdicts.append(verdict)
             runtime.game.process(event)
-        assert checked > 0
+
+        play_events(
+            runtime.soc, generate_events("ab_evolution", 7, 10.0), judge_then_process
+        )
+        assert verdicts
+        assert set(verdicts) <= {True, False}
 
 
 class TestCloudProfiler:

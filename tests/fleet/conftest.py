@@ -3,6 +3,12 @@
 The specs here are deliberately tiny (few devices, short sessions) so
 the determinism properties can be checked end-to-end — including across
 a real process pool — without dominating the suite's runtime.
+
+``reference`` is the one serial in-order run of ``small_spec``; every
+other fleet test compares against it instead of rerunning it. The
+schedule matrix in ``test_determinism.py`` is the one place a new
+executor, shard layout or spill policy gets its byte-identity row
+against that reference.
 """
 
 from __future__ import annotations
@@ -11,7 +17,36 @@ import pytest
 
 from repro.core.config import SnipConfig
 from repro.core.profiler import CloudProfiler
-from repro.fleet import FleetSpec
+from repro.fleet import FleetEngine, FleetSpec, SerialExecutor
+
+
+class ReversingExecutor(SerialExecutor):
+    """Serial executor that reports results in *reverse* completion
+    order — the worst case for the engine's reorder buffer."""
+
+    def stream(self, fn, payloads, telemetry=None, retry_budget=3):
+        collected = list(
+            super().stream(
+                fn, payloads, telemetry=telemetry, retry_budget=retry_budget
+            )
+        )
+        yield from reversed(collected)
+
+
+class InterruptingExecutor(SerialExecutor):
+    """Dies after streaming ``limit`` payloads (ctrl-C mid-sweep)."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+
+    def stream(self, fn, payloads, telemetry=None, retry_budget=3):
+        inner = super().stream(
+            fn, payloads, telemetry=telemetry, retry_budget=retry_budget
+        )
+        for count, item in enumerate(inner):
+            if count >= self.limit:
+                raise KeyboardInterrupt("simulated interrupt")
+            yield item
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +93,9 @@ def small_shards(small_spec, small_package):
         )
         for shard in small_spec.iter_shards()
     ]
+
+
+@pytest.fixture(scope="session")
+def reference(small_spec, small_package):
+    """The serial in-order run every schedule must reproduce."""
+    return FleetEngine(small_spec, package=small_package, cache=None).run()

@@ -7,25 +7,8 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import CheckpointError
-from repro.fleet import CheckpointStore, FleetEngine, SerialExecutor
+from repro.fleet import CheckpointStore
 from repro.fleet.work import run_shard
-
-
-class InterruptingExecutor(SerialExecutor):
-    """Serial executor that dies after streaming ``limit`` payloads —
-    the test's stand-in for ctrl-C / power loss mid-sweep."""
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-
-    def stream(self, fn, payloads, telemetry=None, retry_budget=3):
-        inner = super().stream(
-            fn, payloads, telemetry=telemetry, retry_budget=retry_budget
-        )
-        for count, item in enumerate(inner):
-            if count >= self.limit:
-                raise KeyboardInterrupt("simulated interrupt")
-            yield item
 
 
 def test_initialise_writes_manifest_and_accepts_same_spec(tmp_path, small_spec):
@@ -203,27 +186,3 @@ def test_manifestless_store_counts_evictions_in_memory_only(tmp_path):
     assert store.load_resumable(0) is None
     assert store.corrupt_evictions == 1
     assert not store.manifest_path.exists()
-
-
-def test_interrupted_run_resumes_to_identical_report(tmp_path, small_spec):
-    run_dir = tmp_path / "run"
-    reference = FleetEngine(small_spec).run().to_text()
-
-    with pytest.raises(KeyboardInterrupt):
-        FleetEngine(
-            small_spec,
-            executor=InterruptingExecutor(limit=2),
-            checkpoint=run_dir,
-        ).run()
-    partial = CheckpointStore(run_dir).completed_indices()
-    assert len(partial) == 2  # progress survived the crash
-
-    resumed = FleetEngine(small_spec, checkpoint=run_dir).run().to_text()
-    assert resumed == reference
-    # Every shard is now persisted; a third run is pure replay.
-    assert (
-        CheckpointStore(run_dir).completed_indices()
-        == list(range(small_spec.shard_count))
-    )
-    replayed = FleetEngine(small_spec, checkpoint=run_dir).run().to_text()
-    assert replayed == reference

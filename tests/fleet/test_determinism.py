@@ -1,46 +1,94 @@
 """The tentpole property: scheduling can never change a fleet's results.
 
-``--jobs 1`` and ``--jobs N`` must produce byte-identical aggregate
-reports, and the aggregate must be invariant under the shard size (how
-devices are dealt into work units). Both are checked on the rendered
-report text — the strongest form, covering float sums, census ordering,
-the federated table, and formatting in one comparison.
+Every schedule — process pool, work queue, reversed completion through a
+one-shard reorder buffer, any shard size, a second serial run that
+resolves its own package, the scalar reference path — must render the shared serial
+``reference`` byte for byte, text and JSON. The rendered report is the
+strongest form: it covers float sums, census ordering, the federated
+table, and formatting in one comparison.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
+from repro.core.fastpath import batching_enabled, disable_batching, enable_batching
 from repro.errors import FleetError
 from repro.fleet import (
     FleetEngine,
     ProcessFleetExecutor,
+    QueueFleetExecutor,
     SerialExecutor,
+    TelemetryBus,
 )
 from repro.fleet.reducers import canonical_device_results
 from repro.fleet.work import run_shard
+from tests.fleet.conftest import ReversingExecutor
 
 
-def _report_text(spec, executor=None):
-    return FleetEngine(spec, executor=executor).run().to_text()
+@contextmanager
+def _scalar_path():
+    """Route every device through the scalar reference, then restore."""
+    restore = batching_enabled()
+    disable_batching()
+    try:
+        yield
+    finally:
+        if restore:
+            enable_batching()
 
 
-def test_parallel_report_matches_serial_byte_for_byte(small_spec):
-    serial = _report_text(small_spec, SerialExecutor())
-    parallel = _report_text(small_spec, ProcessFleetExecutor(4))
-    assert parallel == serial
+#: One row per schedule: (executor factory, spec overrides, engine
+#: overrides, scalar path?). The ``serial-again`` row injects no
+#: package, so the engine resolves its own from the spec's profile
+#: seeds through the default package cache, as the ``fleet`` command
+#: does.
+SCHEDULES = [
+    pytest.param(partial(ProcessFleetExecutor, 4), {}, {}, False, id="process-4"),
+    pytest.param(partial(QueueFleetExecutor, jobs=2), {}, {}, False, id="queue-2"),
+    pytest.param(
+        ReversingExecutor, {}, {"max_live_shards": 1}, False, id="reversed-spill"
+    ),
+    *(
+        pytest.param(
+            SerialExecutor, {"shard_size": size}, {}, False, id=f"shard-size-{size}"
+        )
+        for size in (1, 3, 6, 50)
+    ),
+    pytest.param(
+        SerialExecutor, {}, {"package": None, "cache": "auto"}, False, id="serial-again"
+    ),
+    pytest.param(SerialExecutor, {}, {}, True, id="scalar"),
+]
 
 
-def test_report_invariant_under_shard_size(small_spec):
-    reference = _report_text(replace(small_spec, shard_size=2))
-    for shard_size in (1, 3, 6, 50):
-        assert _report_text(replace(small_spec, shard_size=shard_size)) == reference
-
-
-def test_serial_run_is_repeatable(small_spec):
-    assert _report_text(small_spec) == _report_text(small_spec)
+@pytest.mark.parametrize("executor, spec_changes, engine_changes, scalar", SCHEDULES)
+def test_schedule_renders_the_serial_reference(
+    executor, spec_changes, engine_changes, scalar,
+    small_spec, small_package, reference,
+):
+    telemetry = TelemetryBus()
+    options = {"package": small_package, "cache": None, **engine_changes}
+    engine = FleetEngine(
+        replace(small_spec, **spec_changes),
+        executor=executor(),
+        telemetry=telemetry,
+        **options,
+    )
+    with _scalar_path() if scalar else nullcontext():
+        report = engine.run()
+    assert report.to_text() == reference.to_text()
+    assert report.to_json() == reference.to_json()
+    if engine_changes.get("max_live_shards") == 1:
+        # Reverse completion forces every shard through the reorder
+        # buffer and all but one onto disk. The gauge samples the
+        # buffer's post-insert high-water mark, so a cap of 1 peaks at
+        # 2 (the insert that triggers each spill) and never reads 0.
+        assert 1 <= telemetry.counters.peak_live_shards <= 2
 
 
 def test_device_results_do_not_depend_on_shard_neighbours(

@@ -1,10 +1,10 @@
-"""Streaming reduction: equivalence, spill, resume, and gauges.
+"""Streaming reduction: fold order, resume, eviction, and gauges.
 
 The acceptance property of the streaming engine: however shard results
-are scheduled, buffered, spilled, or resumed, the rendered
-:class:`FleetReport` (text and JSON) is byte-identical to the serial
-in-order run — and the engine only re-executes work that was never
-folded.
+are resumed or evicted, the rendered :class:`FleetReport` (text and
+JSON) is byte-identical to the serial in-order run — and the engine
+only re-executes work that was never folded. Schedule and spill
+equivalence live in the matrix in ``test_determinism.py``.
 """
 
 from __future__ import annotations
@@ -14,91 +14,19 @@ import pytest
 from repro.fleet import (
     CheckpointStore,
     FleetEngine,
-    QueueFleetExecutor,
-    SerialExecutor,
     TelemetryBus,
     canonical_device_results,
-    make_executor,
     reduce_census,
     reduce_totals,
 )
 from repro.fleet.telemetry import LIVE_SHARDS, PEAK_RSS, RUN_STARTED
-
-
-class ReversingExecutor(SerialExecutor):
-    """Serial executor that reports results in *reverse* completion
-    order — the worst case for the engine's reorder buffer."""
-
-    def stream(self, fn, payloads, telemetry=None, retry_budget=3):
-        collected = list(
-            super().stream(
-                fn, payloads, telemetry=telemetry, retry_budget=retry_budget
-            )
-        )
-        yield from reversed(collected)
-
-
-class InterruptingExecutor(SerialExecutor):
-    """Dies after streaming ``limit`` payloads (ctrl-C mid-sweep)."""
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-
-    def stream(self, fn, payloads, telemetry=None, retry_budget=3):
-        inner = super().stream(
-            fn, payloads, telemetry=telemetry, retry_budget=retry_budget
-        )
-        for count, item in enumerate(inner):
-            if count >= self.limit:
-                raise KeyboardInterrupt("simulated interrupt")
-            yield item
-
-
-@pytest.fixture(scope="module")
-def reference(small_spec, small_package):
-    """The serial in-order run every schedule must reproduce."""
-    return FleetEngine(small_spec, package=small_package, cache=None).run()
+from tests.fleet.conftest import InterruptingExecutor, ReversingExecutor
 
 
 def _run(small_spec, small_package, **kwargs):
     return FleetEngine(
         small_spec, package=small_package, cache=None, **kwargs
     ).run()
-
-
-def test_parallel_jobs_render_identically(small_spec, small_package, reference):
-    parallel = _run(small_spec, small_package, executor=make_executor(4))
-    assert parallel.to_text() == reference.to_text()
-    assert parallel.to_json() == reference.to_json()
-
-
-def test_queue_executor_renders_identically(small_spec, small_package, reference):
-    queued = _run(
-        small_spec, small_package, executor=QueueFleetExecutor(jobs=2)
-    )
-    assert queued.to_text() == reference.to_text()
-    assert queued.to_json() == reference.to_json()
-
-
-def test_reversed_completion_with_tiny_buffer_spills_and_matches(
-    small_spec, small_package, reference
-):
-    # Reverse completion order forces every shard through the reorder
-    # buffer; max_live_shards=1 forces all but one onto disk.
-    telemetry = TelemetryBus()
-    report = _run(
-        small_spec,
-        small_package,
-        executor=ReversingExecutor(),
-        telemetry=telemetry,
-        max_live_shards=1,
-    )
-    assert report.to_text() == reference.to_text()
-    assert report.to_json() == reference.to_json()
-    # The gauge samples the buffer's post-insert high-water mark, so a
-    # cap of 1 peaks at 2 (the insert that triggers each spill) and can
-    # never read 0.
-    assert 1 <= telemetry.counters.peak_live_shards <= 2
 
 
 def test_shard_observer_sees_every_shard_in_fold_order(
@@ -175,6 +103,16 @@ def test_resume_folds_checkpointed_shards_without_rerunning(
     assert started.payload["resumed"] == 2
     # Only the unfolded shards were re-executed.
     assert telemetry.counters.shards_done == small_spec.shard_count - 2
+    # Every shard is now persisted; a third run is pure replay.
+    assert CheckpointStore(run_dir).completed_indices() == list(
+        range(small_spec.shard_count)
+    )
+    telemetry = TelemetryBus()
+    replayed = _run(
+        small_spec, small_package, checkpoint=run_dir, telemetry=telemetry
+    )
+    assert replayed.to_text() == reference.to_text()
+    assert telemetry.counters.shards_done == 0
 
 
 def test_corrupt_checkpoint_shard_is_evicted_and_rerun(

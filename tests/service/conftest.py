@@ -21,8 +21,7 @@ def shared_cache(tmp_path_factory):
     return PackageCache(tmp_path_factory.mktemp("service-cache"))
 
 
-@pytest.fixture
-def tiny_config():
+def _tiny_config():
     """The smallest service config that still exercises every stage."""
     return ServiceConfig(
         game_name="colorphun",
@@ -40,6 +39,12 @@ def tiny_config():
     )
 
 
+@pytest.fixture
+def tiny_config():
+    """The smallest full-stage config (see :func:`_tiny_config`)."""
+    return _tiny_config()
+
+
 def make_service(config, run_dir, cache, **kwargs):
     """A daemon whose registry payloads resolve through ``cache``."""
     registry = kwargs.pop("registry", None)
@@ -55,22 +60,8 @@ def reference_ledger(tmp_path_factory, shared_cache):
     Session-scoped: the crash-resume tests compare several interrupted
     runs against this one baseline instead of re-running it each time.
     """
-    config = ServiceConfig(
-        game_name="colorphun",
-        devices=6,
-        sessions_per_device=1,
-        session_duration_s=3.0,
-        seed=0,
-        shard_size=2,
-        base_profile_seeds=(1,),
-        profile_duration_s=5.0,
-        max_profile_seeds=4,
-        seeds_per_cycle=1,
-        ungated_cycles=1,
-        eval_duration_s=5.0,
-    )
     run_dir = tmp_path_factory.mktemp("service-reference") / "run"
-    service = make_service(config, run_dir, shared_cache)
+    service = make_service(_tiny_config(), run_dir, shared_cache)
     result = service.run(cycles=3)
     assert result.cycles_completed == 3
     return service.ledger.to_json()

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service import CycleLedger
 
 
 def run_cli(*argv):
@@ -213,16 +214,27 @@ class TestJsonOutputPurity:
         assert json.loads(stdout) == []
 
     def test_serve_json_stdout_is_pure_with_telemetry_enabled(self, tmp_path):
+        run_dir = tmp_path / "run"
         code, stdout, stderr = run_cli_subprocess(
-            "serve", "--game", "colorphun", "--cycles", "2",
-            "--run-dir", str(tmp_path / "run"),
+            "serve", "--game", "colorphun", "--cycles", "2", "--jobs", "2",
+            "--run-dir", str(run_dir),
             "--devices", "4", "--duration", "2", "--shard-size", "2",
             "--profile-duration", "3", "--eval-duration", "3",
             "--format", "json",
         )
         assert code == 0, stderr
         document = json.loads(stdout)
-        assert sum(1 for cycle in document["cycles"] if cycle["complete"]) == 2
+        cycles = document["cycles"]
+        assert len(cycles) == 2 and all(cycle["complete"] for cycle in cycles)
+        stages = {"ingest", "profile", "publish", "plan", "ship"}
+        assert all(set(cycle["stages"]) == stages for cycle in cycles)
+        # Over a worker pool, the ledger on disk is complete, loadable
+        # and exactly the document printed on stdout.
+        on_disk = CycleLedger(run_dir / "ledger.json")
+        assert on_disk.completed_count() == 2
+        assert json.dumps(on_disk.to_dict(), sort_keys=True) == json.dumps(
+            document, sort_keys=True
+        )
         # The default (non --quiet) serve narrates cycles on stderr.
         assert "cycle 0 started" in stderr
         assert "cycle 1 finished" in stderr

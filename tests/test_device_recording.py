@@ -15,6 +15,7 @@ from repro.core.runtime import SnipRuntime
 from repro.games.registry import GAME_CONTENT_SEED, create_game
 from repro.soc.soc import snapdragon_821
 from repro.users.tracegen import generate_events
+from tests.conftest import play_events
 
 
 def play_and_record(game_name, seed, duration_s):
@@ -23,12 +24,7 @@ def play_and_record(game_name, seed, duration_s):
     game = create_game(game_name, seed=GAME_CONTENT_SEED)
     tracer = EventTracer(game_name, seed=seed)
     loop = EventLoop(soc, game, tracer=tracer)
-    clock = 0.0
-    for event in generate_events(game_name, seed, duration_s):
-        if event.timestamp > clock:
-            soc.advance_time(event.timestamp - clock)
-            clock = event.timestamp
-        loop.deliver(event)
+    play_events(soc, generate_events(game_name, seed, duration_s), loop.deliver)
     return soc, game, tracer.trace
 
 
@@ -69,10 +65,6 @@ class TestDeviceRecording:
             soc, create_game("candy_crush", GAME_CONTENT_SEED),
             package.table, config,
         )
-        clock = 0.0
-        for event in generate_events("candy_crush", seed=9, duration_s=15.0):
-            if event.timestamp > clock:
-                soc.advance_time(event.timestamp - clock)
-                clock = event.timestamp
-            runtime.deliver(event)
+        events = generate_events("candy_crush", seed=9, duration_s=15.0)
+        play_events(soc, events, runtime.deliver)
         assert runtime.stats.hit_rate > 0.3

@@ -16,6 +16,7 @@ from repro import (
 )
 from repro.android.emulator import Emulator
 from repro.android.events import EventType
+from tests.conftest import play_events
 
 
 class TestPublicApi:
@@ -52,14 +53,9 @@ class TestEveryGameEndToEnd:
         soc = snapdragon_821()
         game = create_game(game_name, seed=GAME_CONTENT_SEED)
         runtime = SnipRuntime(soc, game, package.table, profiler.config)
-        clock = 0.0
         duration = 25.0
-        for event in generate_events(game_name, seed=9, duration_s=duration):
-            if event.timestamp > clock:
-                soc.advance_time(event.timestamp - clock)
-                clock = event.timestamp
-            runtime.deliver(event)
-        soc.advance_time(max(0.0, duration - clock))
+        events = generate_events(game_name, seed=9, duration_s=duration)
+        play_events(soc, events, runtime.deliver, until=duration)
         baseline = run_baseline_session(game_name, seed=9, duration_s=duration)
         savings = 1.0 - soc.meter.total_joules / baseline.report.total_joules
         assert savings > 0.10, f"{game_name}: only {savings:.1%} saved"

@@ -11,6 +11,7 @@ from repro.soc.component import ComponentGroup
 from repro.soc.soc import snapdragon_821
 from repro.users.sessions import run_baseline_session
 from repro.users.tracegen import generate_events
+from tests.conftest import play_events
 
 
 class TestSessionInvariants:
@@ -44,12 +45,7 @@ class TestRuntimeInvariants:
         game = create_game("ab_evolution", seed=GAME_CONTENT_SEED)
         runtime = SnipRuntime(soc, game, ab_package_shared.table.clone(),
                               SnipConfig())
-        clock = 0.0
-        for event in generate_events("ab_evolution", seed, 6.0):
-            if event.timestamp > clock:
-                soc.advance_time(event.timestamp - clock)
-                clock = event.timestamp
-            runtime.deliver(event)
+        play_events(soc, generate_events("ab_evolution", seed, 6.0), runtime.deliver)
         stats = runtime.stats
         assert stats.hits + stats.misses == stats.events
         assert 0.0 <= stats.coverage <= 1.0
@@ -62,13 +58,8 @@ class TestRuntimeInvariants:
             game = create_game("ab_evolution", seed=GAME_CONTENT_SEED)
             runtime = SnipRuntime(soc, game, ab_package_shared.table.clone(),
                                   SnipConfig())
-            clock = 0.0
-            for event in generate_events("ab_evolution", seed, 10.0):
-                if event.timestamp > clock:
-                    soc.advance_time(event.timestamp - clock)
-                    clock = event.timestamp
-                runtime.deliver(event)
-            soc.advance_time(max(0.0, 10.0 - clock))
+            events = generate_events("ab_evolution", seed, 10.0)
+            play_events(soc, events, runtime.deliver, until=10.0)
             baseline = run_baseline_session("ab_evolution", seed=seed,
                                             duration_s=10.0)
             # Lookup overheads are bounded well below the savings.
